@@ -111,7 +111,6 @@ class SCFOptions:
     mixing_alpha: float = 0.3
     mixing_history: int = 6
     mixer: str = "anderson"  #: "anderson" or "linear"
-    poisson_tol: float = 1e-9
     lanczos_steps: int = 12
     #: max-norm potential drift (Ha) up to which the cached Lanczos upper
     #: bound is reused (Weyl-shifted) instead of recomputed (see
@@ -405,7 +404,7 @@ class SCFDriver:
             self._scatter.restore()
 
         # Final self-consistent energy at the output density.
-        v_tot = self.electrostatics.solve(rho_spin.sum(axis=1), tol=opts.poisson_tol)
+        v_tot = self.electrostatics.solve(rho_spin.sum(axis=1))
         v_xc, exc = self.xc.potential_and_energy(mesh, rho_spin)
         v_eff = v_tot[:, None] + v_xc
         breakdown = total_energy(
@@ -467,7 +466,6 @@ class SCFDriver:
             ch.hpsi_v = st.get("hpsi_v")
         if isinstance(mixer, AndersonMixer):
             mixer.set_history(state["mixer_rho"], state["mixer_res"])
-        self.electrostatics.warm_start = state["v_prev"]
         if self.ledger is not None and state["ledger_snapshot"]:
             self.ledger.restore(state["ledger_snapshot"])
         return OccupationSet(
@@ -511,7 +509,6 @@ class SCFDriver:
             ],
             mixer_rho=mixer_rho,
             mixer_res=mixer_res,
-            v_prev=self.electrostatics.warm_start,
             ledger_snapshot=(
                 self.ledger.snapshot() if self.ledger is not None else None
             ),
@@ -541,9 +538,7 @@ class SCFDriver:
             self._iteration = it
             with trace_region(SCF_ITERATION, iteration=it) as it_span:
                 # EP span opened by Electrostatics.solve itself
-                v_tot = self.electrostatics.solve(
-                    rho_spin.sum(axis=1), tol=opts.poisson_tol
-                )
+                v_tot = self.electrostatics.solve(rho_spin.sum(axis=1))
                 with trace_region("DH"):
                     v_xc, exc = self.xc.potential_and_energy(mesh, rho_spin)
                     v_eff = v_tot[:, None] + v_xc  # (nnodes, 2)

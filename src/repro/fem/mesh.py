@@ -22,6 +22,7 @@ import numpy as np
 
 from .cell import ReferenceCell, reference_cell
 from .scatter import ScatterMap
+from .tensor import TensorOperators
 
 __all__ = ["Mesh3D", "uniform_mesh", "graded_edges"]
 
@@ -260,6 +261,11 @@ class Mesh3D:
             np.concatenate([flat, flat, flat]), self.nnodes,
             force_engine=self.scatter_engine,
         )
+
+    @cached_property
+    def tensor(self) -> TensorOperators:
+        """Per-axis 1D operators and eigenpairs of the Poisson/Kerker solves."""
+        return TensorOperators(self)
 
     @cached_property
     def mass_diag(self) -> np.ndarray:

@@ -1,18 +1,20 @@
-"""Matrix-free finite-element Poisson solver (electrostatics, "EP" step).
+"""Direct finite-element Poisson solver (electrostatics, "EP" step).
 
 Solves the weak-form problem ``K v = 4*pi*M*rho`` for the electrostatic
-potential of a charge (number-)density ``rho`` on the spectral-element mesh,
-using preconditioned conjugate gradients with a Jacobi (inverse stiffness
-diagonal) preconditioner and the batched cell-level stiffness application of
-:class:`repro.fem.assembly.CellStiffness`.
+potential of a charge (number-)density ``rho`` on the spectral-element mesh
+*exactly*, by fast diagonalization of the Kronecker-sum stiffness
+(:mod:`repro.fem.tensor`): three axis transforms, a pointwise division by
+the summed 1D eigenvalues and three transforms back.  There is no
+iteration, tolerance or warm start; a solve depends only on its input.
 
-Boundary handling:
+Boundary handling, for any per-axis mix of periodic and Dirichlet axes:
 
-* isolated systems — inhomogeneous Dirichlet values from a multipole
-  (monopole + dipole) expansion of the net charge, imposed by lifting;
-* fully periodic systems — the constant nullspace is projected out and the
-  right-hand side must integrate to (numerically) zero, i.e. the cell must be
-  charge neutral (electrons + smeared cores).
+* Dirichlet axes — inhomogeneous values from a multipole (monopole +
+  dipole) expansion of the net charge, imposed by lifting through the
+  Kronecker-sum apply of the full 1D operators;
+* fully periodic systems — the constant nullspace is dropped, so the
+  right-hand side is projected onto the range of ``K`` (the cell must be
+  charge neutral: electrons + smeared cores) and ``v`` has zero mean.
 """
 
 from __future__ import annotations
@@ -21,11 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.obs import add_counter, trace_region
+from repro.obs import trace_region
 
-from .assembly import CellStiffness
 from .mesh import Mesh3D
-from .workspace import Workspace
 
 __all__ = ["PoissonSolver", "multipole_boundary_values"]
 
@@ -56,33 +56,23 @@ def multipole_boundary_values(
 
 @dataclass
 class PoissonResult:
-    """Converged potential plus solver diagnostics."""
+    """Potential plus solver diagnostics."""
 
     potential: np.ndarray  #: full-node potential values
-    iterations: int
-    residual: float
-    converged: bool
+    #: solver iterations: always 0, the solve is direct (kept for callers
+    #: that tally Poisson work per solve)
+    iterations: int = 0
 
 
 class PoissonSolver:
-    """Preconditioned-CG Poisson solver on a spectral-element mesh."""
+    """Exact tensor-product Poisson solver on a spectral-element mesh."""
 
-    def __init__(
-        self, mesh: Mesh3D, ledger=None, workspace: Workspace | None = None
-    ) -> None:
+    def __init__(self, mesh: Mesh3D, ledger=None) -> None:
         self.mesh = mesh
-        self.stiff = CellStiffness(mesh, kfrac=None, ledger=ledger)
-        self.workspace = workspace if workspace is not None else Workspace()
-        self._kdiag = self.stiff.diagonal_full()
-        self._fully_periodic = mesh.free.size == mesh.nnodes
+        self.ledger = ledger
 
     def solve(
-        self,
-        rho_full: np.ndarray,
-        boundary_values: np.ndarray | None = None,
-        tol: float = 1e-10,
-        maxiter: int = 2000,
-        x0: np.ndarray | None = None,
+        self, rho_full: np.ndarray, boundary_values: np.ndarray | None = None
     ) -> PoissonResult:
         """Solve ``-lap v = 4*pi*rho`` for the full-node potential ``v``.
 
@@ -94,113 +84,20 @@ class PoissonSolver:
             Full-node array with Dirichlet values at boundary nodes (see
             :func:`multipole_boundary_values`); ignored on fully periodic
             meshes.
-        x0:
-            Optional initial guess (full-node array), e.g. the previous SCF
-            iteration's potential.
         """
         mesh = self.mesh
-        b_full = 4.0 * np.pi * mesh.mass_diag * rho_full
-
-        if self._fully_periodic:
-            return self._solve_periodic(b_full, tol, maxiter, x0)
-
+        tensor = mesh.tensor
         free = mesh.free
-        lift = np.zeros(mesh.nnodes)
-        if boundary_values is not None:
-            lift[mesh.boundary_mask] = boundary_values[mesh.boundary_mask]
-            b_full = b_full - self.stiff.apply_full(lift)
-        b = b_full[free]
-        diag = self._kdiag[free]
-
-        ws = self.workspace
-
-        def apply_K(x: np.ndarray) -> np.ndarray:
-            """CG matvec into a pooled workspace buffer.
-
-            The returned array is workspace-owned — valid until the next
-            ``apply_K`` on this thread; ``_pcg`` consumes it immediately.
-            """
-            # pooled free->full expansion; boundary rows stay zero by invariant
-            full = ws.get(
-                "poisson_full", (mesh.nnodes,), np.float64, zero_on_create=True
-            )
-            full[free] = x
-            y = self.stiff.apply_full(full, workspace=ws)
-            Ap = ws.get("poisson_Ap", (free.size,), np.float64)
-            np.take(y, free, out=Ap)
-            return Ap
-
-        x_start = None if x0 is None else (x0 - lift)[free]
-        with trace_region("Poisson-CG", ndof=int(free.size)):
-            x, it, res, ok = _pcg(apply_K, b, diag, tol, maxiter, x0=x_start)
-            add_counter("iterations", it)
-        v = lift.copy()
-        v[free] += x
-        return PoissonResult(v, it, res, ok)
-
-    def _solve_periodic(
-        self, b_full: np.ndarray, tol: float, maxiter: int, x0: np.ndarray | None
-    ) -> PoissonResult:
-        mesh = self.mesh
-        w = mesh.mass_diag
-        vol = float(np.sum(w))
-        # Project the RHS onto the range of K (remove the constant component).
-        b = b_full - w * (np.sum(b_full) / vol)
-
-        def apply_K(x: np.ndarray) -> np.ndarray:
-            y = self.stiff.apply_full(x, workspace=self.workspace)
-            return y - w * (np.dot(w, y) / np.dot(w, w) * 0.0)  # K maps const->0
-
-        def project(x: np.ndarray) -> np.ndarray:
-            return x - np.dot(w, x) / vol
-
-        with trace_region("Poisson-CG", ndof=int(mesh.nnodes), periodic=True):
-            x, it, res, ok = _pcg(
-                apply_K, b, self._kdiag, tol, maxiter, project=project, x0=x0
-            )
-            add_counter("iterations", it)
-        return PoissonResult(x, it, res, ok)
-
-
-def _pcg(
-    apply_A,
-    b: np.ndarray,
-    diag: np.ndarray,
-    tol: float,
-    maxiter: int,
-    project=None,
-    x0: np.ndarray | None = None,
-) -> tuple[np.ndarray, int, float, bool]:
-    """Jacobi-preconditioned conjugate gradients (SPD systems)."""
-    inv_diag = 1.0 / diag
-    x = np.zeros_like(b) if x0 is None else x0.copy()
-    if project is not None:
-        x = project(x)
-    r = b - apply_A(x) if x.any() else b.copy()
-    if project is not None:
-        r = project(r)
-    z = inv_diag * r
-    p = z.copy()
-    rz = float(np.dot(r, z))
-    bnorm = max(float(np.linalg.norm(b)), 1e-300)
-    res = float(np.linalg.norm(r)) / bnorm
-    it = 0
-    tmp = np.empty_like(b)  # per-solve scratch for the axpy products
-    while res > tol and it < maxiter:
-        Ap = apply_A(p)
-        alpha = rz / float(np.dot(p, Ap))
-        np.multiply(alpha, p, out=tmp)
-        x += tmp
-        np.multiply(alpha, Ap, out=tmp)
-        r -= tmp
-        if project is not None:
-            r = project(r)
-        np.multiply(inv_diag, r, out=z)
-        rz_new = float(np.dot(r, z))
-        # p = z + (rz_new/rz) * p, in place (addition order is bit-neutral)
-        p *= rz_new / rz
-        p += z
-        rz = rz_new
-        res = float(np.linalg.norm(r)) / bnorm
-        it += 1
-    return x, it, res, res <= tol
+        b = 4.0 * np.pi * mesh.mass_diag * rho_full
+        v = np.zeros(mesh.nnodes, dtype=np.float64)
+        flops = tensor.solve_flops
+        with trace_region("Poisson", ndof=int(free.size)):
+            if boundary_values is not None and free.size < mesh.nnodes:
+                bnd = mesh.boundary_mask
+                v[bnd] = boundary_values[bnd]
+                b = b - tensor.stiffness_apply(v)
+                flops += tensor.apply_flops
+            v[free] = tensor.solve(b[free])
+        if self.ledger is not None:
+            self.ledger.add("poisson_gemm", flops)
+        return PoissonResult(v)

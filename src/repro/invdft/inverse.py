@@ -104,7 +104,7 @@ class InverseDFT:
             if mesh.free.size != mesh.nnodes
             else None
         )
-        v_h = solver.solve(rho_tot, boundary_values=bc, tol=1e-10).potential
+        v_h = solver.solve(rho_tot, boundary_values=bc).potential
         self.v_ext = v_ext
         self.v_hartree = v_h
         self.v_base = v_ext + v_h

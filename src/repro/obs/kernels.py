@@ -26,7 +26,8 @@ Mix       Anderson/Kerker density mixing (paper's "Others")
 
 Non-SCF workloads reuse the scheme with their own parents:
 ``invDFT-iteration`` (children ``ChFES``, ``MINRES``, ...), ``MLXC-train``
-(children ``MLXC-epoch``), ``Poisson-CG`` under ``EP``.
+(children ``MLXC-epoch``), ``Poisson`` (the direct tensor-product solve)
+under ``EP``.
 """
 
 from __future__ import annotations

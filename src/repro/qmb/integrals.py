@@ -41,12 +41,15 @@ def compute_integrals(
     mesh: Mesh3D,
     config: AtomicConfiguration,
     orbitals_nodes: np.ndarray,
-    poisson_tol: float = 1e-10,
+    poisson_tol: float | None = None,
 ) -> OrbitalIntegrals:
     """Integrals for orthonormal orbitals given as full-node values.
 
     ``orbitals_nodes`` has shape (nnodes, n_orb) and must be L2-orthonormal
     on the mesh (Kohn-Sham eigenvectors mapped to nodes satisfy this).
+    Each pair density gets one exact Poisson solve.  ``poisson_tol`` is
+    accepted and ignored: the solve is direct, and callers written for the
+    former iterative solver still pass it.
     """
     phi = np.asarray(orbitals_nodes, dtype=float)
     n_orb = phi.shape[1]
@@ -72,7 +75,7 @@ def compute_integrals(
         for q in range(p + 1):
             rho_pq = phi[:, p] * phi[:, q]
             bc = multipole_boundary_values(mesh, rho_pq)
-            v = solver.solve(rho_pq, boundary_values=bc, tol=poisson_tol).potential
+            v = solver.solve(rho_pq, boundary_values=bc).potential
             pair_pot[(p, q)] = v
     for p in range(n_orb):
         for q in range(p + 1):

@@ -59,7 +59,8 @@ class DiscretizationCache:
     """Share mesh construction across identically-discretized members.
 
     Building a :class:`Mesh3D` also builds its ScatterMaps, quadrature
-    weights and connectivity — the per-member setup cost the paper's
+    weights, connectivity and (:attr:`Mesh3D.tensor`) the per-axis
+    eigenpairs of the Poisson solve — the per-member setup cost the paper's
     DFT-FE amortizes across a campaign.  Keyed on the exact
     discretization arguments of :func:`~repro.screen.family.domain_mesh`,
     which is deterministic in them.
@@ -220,15 +221,13 @@ class ScreenCampaign:
         self.grading_ratio = float(grading_ratio)
         #: screening runs tighter than interactive defaults: the
         #: cold-vs-seeded 1e-12 energy agreement needs the SCF fixed
-        #: point pinned well below the gate.  Two knobs beyond the
-        #: obvious tolerances matter — ``filter_passes=2`` (a single
+        #: point pinned well below the gate.  One knob beyond the
+        #: obvious tolerances matters — ``filter_passes=2`` (a single
         #: Chebyshev pass leaves a trajectory-dependent eigenpair
-        #: memory of ~5e-12) and ``poisson_tol=1e-12`` (the Hartree
-        #: solve warm-starts from the previous potential, another
-        #: trajectory memory at its tolerance level).
+        #: memory of ~5e-12).
         self.options = options if options is not None else SCFOptions(
             max_iterations=300, density_tol=1e-14, energy_tol=1e-14,
-            filter_passes=2, poisson_tol=1e-12,
+            filter_passes=2,
         )
         self.seeding = bool(seeding)
         self.n_anchors = int(n_anchors)
@@ -463,7 +462,6 @@ class ScreenCampaign:
                 density_tol=self.options.density_tol,
                 energy_tol=self.options.energy_tol,
                 filter_passes=self.options.filter_passes,
-                poisson_tol=self.options.poisson_tol,
             )
 
         n_anchor = min(self.n_anchors, len(plan)) if self.seeding else len(plan)

@@ -58,13 +58,11 @@ class ScreenJobSpec(JobSpec):
     max_scf: int = 300
     #: screening campaigns run tighter than the interactive defaults:
     #: the 1e-12 cold-vs-seeded energy gate needs the fixed point pinned
-    #: well below the gate, the eigensolver double-filtered (one pass
-    #: keeps ~5e-12 of subspace trajectory memory) and the warm-started
-    #: Hartree solve converged past its own memory floor
+    #: well below the gate and the eigensolver double-filtered (one pass
+    #: keeps ~5e-12 of subspace trajectory memory)
     density_tol: float = 1e-14
     energy_tol: float = 1e-14
     filter_passes: int = 2
-    poisson_tol: float = 1e-12
     ranks: int = 1
 
     def validate(self) -> None:
@@ -92,11 +90,7 @@ class ScreenJobSpec(JobSpec):
                 ):
                     problems.append(f"position {p} outside the domain")
                     break
-        if (
-            self.density_tol <= 0
-            or self.energy_tol <= 0
-            or self.poisson_tol <= 0
-        ):
+        if self.density_tol <= 0 or self.energy_tol <= 0:
             problems.append("tolerances must be positive")
         if self.filter_passes < 1:
             problems.append("filter_passes must be >= 1")
@@ -125,7 +119,6 @@ def run_screen_member(spec: JobSpec, ctx: SliceContext) -> SliceOutcome:
         density_tol=spec.density_tol,
         energy_tol=spec.energy_tol,
         filter_passes=spec.filter_passes,
-        poisson_tol=spec.poisson_tol,
         backend=ctx.backend,
         nranks=max(1, int(ctx.ranks)),
         autotune=ctx.tuned,

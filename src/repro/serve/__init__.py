@@ -24,7 +24,7 @@ disk-backed result cache:
 CLI: ``python -m repro serve --jobs 100 --workers 4``.
 """
 
-from .cache import CacheStats, ResultCache
+from .cache import NUMERICS_VERSION, CacheStats, ResultCache
 from .jobs import (
     JOB_TYPES,
     BandsJobSpec,
@@ -51,6 +51,7 @@ from .server import (
 
 __all__ = [
     "JOB_TYPES",
+    "NUMERICS_VERSION",
     "RUNNERS",
     "BandsJobSpec",
     "CacheStats",

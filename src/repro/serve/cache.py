@@ -9,6 +9,10 @@ from the stored spec must equal the file's name, so a corrupted or
 hand-edited entry is treated as a miss instead of serving wrong physics
 (the same checksum discipline as the PR 1 model-artifact guard).
 
+The key hashes only the spec, so every envelope also carries
+:data:`NUMERICS_VERSION`; an entry from other numerics reads as a miss,
+tallied ``stale``, and the recomputed result overwrites it.
+
 Writes are atomic (temp file + fsync + ``os.replace``, the
 :mod:`repro.core.io` pattern): a crash mid-write leaves either the old
 entry or the new one, never a torn file.  A lock plus reprosan write
@@ -34,10 +38,13 @@ from repro.tools import sanitize as _sanitize
 
 from .jobs import JobSpec, spec_from_dict
 
-__all__ = ["CacheStats", "ResultCache"]
+__all__ = ["NUMERICS_VERSION", "CacheStats", "ResultCache"]
 
 #: schema tag of the on-disk cache entry envelope
 CACHE_SCHEMA = "repro-serve-cache/1"
+
+#: bump with any change that moves computed results (2: exact Poisson solve)
+NUMERICS_VERSION = 2
 
 
 @dataclass
@@ -48,6 +55,7 @@ class CacheStats:
     misses: int = 0
     puts: int = 0
     corrupt: int = 0
+    stale: int = 0  #: entries from older numerics, read as misses
 
     @property
     def hit_rate(self) -> float:
@@ -60,6 +68,7 @@ class CacheStats:
             "misses": float(self.misses),
             "puts": float(self.puts),
             "corrupt": float(self.corrupt),
+            "stale": float(self.stale),
             "hit_rate": self.hit_rate,
         }
 
@@ -99,6 +108,7 @@ class ResultCache:
         key = spec.job_key()
         envelope = {
             "schema": CACHE_SCHEMA,
+            "numerics": NUMERICS_VERSION,
             "key": key,
             "spec": spec.to_dict(),
             "payload": payload,
@@ -130,7 +140,7 @@ class ResultCache:
         return path
 
     def _load(self, key: str) -> dict[str, Any] | None:
-        """Read + verify one disk entry; corrupt entries count and miss."""
+        """Read + verify one disk entry; stale or corrupt entries count and miss."""
         path = self._path(key)
         try:
             raw = path.read_text(encoding="utf-8")
@@ -140,6 +150,12 @@ class ResultCache:
             envelope = json.loads(raw)
         except json.JSONDecodeError:
             self.stats.corrupt += 1
+            return None
+        if (
+            isinstance(envelope, dict)
+            and envelope.get("numerics") != NUMERICS_VERSION
+        ):
+            self.stats.stale += 1
             return None
         if not self._verify(key, envelope):
             self.stats.corrupt += 1

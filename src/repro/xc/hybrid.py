@@ -34,7 +34,6 @@ def hf_exchange_energy(
     mesh: Mesh3D,
     orbitals_nodes: np.ndarray,
     occupations: np.ndarray,
-    poisson_tol: float = 1e-9,
 ) -> float:
     """Exact-exchange energy of one spin channel's occupied orbitals.
 
@@ -55,7 +54,7 @@ def hf_exchange_energy(
         for j in range(i + 1):
             rho_ij = np.real(phi[:, i] * np.conj(phi[:, j]))
             bc = multipole_boundary_values(mesh, rho_ij)
-            v = solver.solve(rho_ij, boundary_values=bc, tol=poisson_tol).potential
+            v = solver.solve(rho_ij, boundary_values=bc).potential
             integral = float(np.dot(w, v * rho_ij))
             factor = 1.0 if i == j else 2.0
             e_x -= 0.5 * factor * f[i] * f[j] * integral
@@ -90,7 +89,7 @@ class PBE0(XCFunctional):
         live = rho_spin.sum(axis=1) > 1e-12
         return float(mesh.integrate(np.where(live, ex, 0.0)))
 
-    def post_scf_energy(self, mesh: Mesh3D, scf_result, poisson_tol: float = 1e-9) -> float:
+    def post_scf_energy(self, mesh: Mesh3D, scf_result) -> float:
         """Hybrid total energy from a converged PBE ``SCFResult``."""
         from repro.core.density import orbitals_to_nodes
 
@@ -101,9 +100,9 @@ class PBE0(XCFunctional):
             if ch.spin is None:
                 # spin-restricted: each spin channel carries occ/2
                 e_x_hf += 2.0 * ch.weight * hf_exchange_energy(
-                    mesh, phi, occ / 2.0, poisson_tol
+                    mesh, phi, occ / 2.0
                 )
             else:
-                e_x_hf += ch.weight * hf_exchange_energy(mesh, phi, occ, poisson_tol)
+                e_x_hf += ch.weight * hf_exchange_energy(mesh, phi, occ)
         e_x_pbe = self.pbe_exchange_energy(mesh, scf_result.rho_spin)
         return scf_result.energy + self.mixing * (e_x_hf - e_x_pbe)

@@ -116,7 +116,7 @@ def test_hybrid_self_exchange_identity():
     e_x_spin = hf_exchange_energy(mesh, phi[:, None], np.array([1.0]))
     rho = phi**2
     bc = multipole_boundary_values(mesh, rho)
-    v = PoissonSolver(mesh).solve(rho, boundary_values=bc, tol=1e-11).potential
+    v = PoissonSolver(mesh).solve(rho, boundary_values=bc).potential
     coulomb_ii = float(mesh.integrate(v * rho))
     assert np.isclose(e_x_spin, -0.5 * coulomb_ii, rtol=1e-8)
 

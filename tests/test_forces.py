@@ -25,7 +25,7 @@ def _es_energy(mesh, d):
     )
     es = Electrostatics(mesh, cfg)
     rho = _fixed_density(mesh)
-    v = es.solve(rho, tol=1e-11)
+    v = es.solve(rho)
     return es.electrostatic_energy(rho, v), cfg, v
 
 

@@ -5,7 +5,8 @@ import pytest
 
 from repro.core import DFTCalculation, SCFOptions
 from repro.core.kerker import KerkerPreconditioner
-from repro.fem.mesh import uniform_mesh
+from repro.fem.assembly import CellStiffness
+from repro.fem.mesh import Mesh3D, graded_edges, uniform_mesh
 from repro.materials.lattice import hcp_orthorhombic, supercell
 from repro.xc.lda import LDA
 
@@ -51,6 +52,24 @@ def test_kerker_short_wavelength_passthrough():
         np.dot(r * mesh.mass_diag, P(r)) / np.dot(r * mesh.mass_diag, r)
     )
     assert ratio > 0.9
+
+
+@pytest.mark.parametrize(
+    "pbc", [(True, True, True), (False, False, False), (True, False, False)]
+)
+def test_kerker_solves_the_shifted_helmholtz_problem(pbc):
+    """``P r = r - k0^2 u`` with ``(K + k0^2 M) u = M r`` on the free rows."""
+    edges = (graded_edges(6.0, 3, 2.5, 2.0), np.linspace(0.0, 5.0, 3),
+             graded_edges(7.0, 3, 4.0, 1.5))
+    mesh = Mesh3D(edges=edges, degree=4, pbc=pbc)
+    k0 = 0.7
+    r = np.random.default_rng(4).standard_normal(mesh.nnodes)
+    u = (r - KerkerPreconditioner(mesh, k0=k0)(r)) / k0**2
+    free, w = mesh.free, mesh.mass_diag
+    assert np.all(u[mesh.boundary_mask] == 0.0)
+    lhs = CellStiffness(mesh).apply_full(u) + k0**2 * w * u
+    rhs = w * r
+    assert np.linalg.norm(lhs[free] - rhs[free]) <= 1e-12 * np.linalg.norm(rhs)
 
 
 def test_kerker_spin_stack_and_validation():

@@ -416,6 +416,44 @@ def test_h2o_crash_mid_run_then_resume_bit_identical(tmp_path):
     assert resumed.free_energy == ref.free_energy  # bit for bit
 
 
+def _assert_same_run(resumed, ref):
+    assert resumed.converged
+    assert resumed.n_iterations == ref.n_iterations
+    assert resumed.free_energy == ref.free_energy  # bit for bit
+    np.testing.assert_array_equal(resumed.rho_spin, ref.rho_spin)
+
+
+def test_resume_bit_identical_without_poisson_state(tmp_path, h2_reference):
+    """The Poisson solve is direct: checkpoints carry no potential, and a
+    resumed run still reproduces the uninterrupted one bit for bit."""
+    ck = str(tmp_path / "h2.ckpt")
+    _run_molecule("H2", max_iterations=3, checkpoint=ck)
+    with np.load(ck) as f:
+        assert not any("v_prev" in k for k in f.files)
+    _, resumed = _run_molecule("H2", resume_from=ck)
+    _assert_same_run(resumed, h2_reference)
+
+
+def test_resume_accepts_checkpoint_with_legacy_warm_start(
+    tmp_path, h2_reference
+):
+    """A v2 file written while the Poisson solve was iterative still holds
+    its warm-start potential ``v_prev``; it loads, and the (ignored)
+    potential cannot perturb the resumed trajectory."""
+    ck = str(tmp_path / "h2.ckpt")
+    _run_molecule("H2", max_iterations=3, checkpoint=ck)
+    with np.load(ck) as f:
+        data = {k: f[k] for k in f.files}
+    data["has_v_prev"] = np.array(True)
+    data["v_prev"] = np.full(data["rho_spin"].shape[0], 7.0)
+    with open(ck, "wb") as f:
+        np.savez_compressed(f, **data)
+    state = load_scf_state(ck)
+    assert state["iteration"] == 3 and "v_prev" not in state
+    _, resumed = _run_molecule("H2", resume_from=ck)
+    _assert_same_run(resumed, h2_reference)
+
+
 def test_resume_rejects_mesh_mismatch(tmp_path):
     ck = str(tmp_path / "h2.ckpt")
     _run_molecule("H2", max_iterations=2, checkpoint=ck)

@@ -181,13 +181,13 @@ def test_electrostatics_neutral_system_energy_matches_pieces():
     r2 = np.sum((mesh.node_coords - c) ** 2, axis=1)
     rho = np.exp(-r2 / 2.0)
     rho *= 2.0 / float(mesh.integrate(rho))
-    v_tot = es.solve(rho, tol=1e-11)
+    v_tot = es.solve(rho)
     e_total = es.electrostatic_energy(rho, v_tot)
 
     # piecewise: Hartree from a separate Poisson solve of rho alone
     solver = PoissonSolver(mesh)
     bc = multipole_boundary_values(mesh, rho)
-    v_h = solver.solve(rho, boundary_values=bc, tol=1e-11).potential
+    v_h = solver.solve(rho, boundary_values=bc).potential
     e_h = 0.5 * float(mesh.integrate(rho * v_h))
     v_n = config.external_potential(mesh.node_coords)
     e_ext = float(mesh.integrate(rho * v_n))

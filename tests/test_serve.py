@@ -22,6 +22,7 @@ import pytest
 from repro.resilience import ResilienceError, RetryPolicy
 from repro.serve import (
     JOB_TYPES,
+    NUMERICS_VERSION,
     RUNNERS,
     CacheStats,
     Job,
@@ -242,11 +243,31 @@ def test_cache_treats_tampered_entries_as_misses(tmp_path):
     assert cold2.get(spec) is None and cold2.stats.corrupt == 1
 
 
+def test_cache_entries_from_older_numerics_read_as_stale_misses(tmp_path):
+    cache = ResultCache(tmp_path)
+    spec = ProbeJobSpec(seed=21)
+    path = cache.put(spec, {"kind": "probe", "trace": 0.75})
+    envelope = json.loads(path.read_text())
+    assert envelope["numerics"] == NUMERICS_VERSION
+    # the same entry as written before the stamp's last bump
+    envelope["numerics"] = NUMERICS_VERSION - 1
+    path.write_text(json.dumps(envelope))
+    cold = ResultCache(tmp_path)
+    assert cold.get(spec) is None
+    assert cold.stats.stale == 1 and cold.stats.corrupt == 0
+    assert cold.stats.misses == 1
+    # recomputing and publishing overwrites it; the next reader hits
+    cold.put(spec, {"kind": "probe", "trace": 0.75})
+    fresh = ResultCache(tmp_path)
+    assert fresh.get(spec) == {"kind": "probe", "trace": 0.75}
+    assert fresh.stats.hits == 1 and fresh.stats.stale == 0
+
+
 def test_cache_stats_dict_shape():
     stats = CacheStats(hits=3, misses=1, puts=1)
     d = stats.as_dict()
     assert d["hit_rate"] == pytest.approx(0.75)
-    assert set(d) == {"hits", "misses", "puts", "corrupt", "hit_rate"}
+    assert set(d) == {"hits", "misses", "puts", "corrupt", "stale", "hit_rate"}
 
 
 # ---------------------------------------------------------------------------
