@@ -1,11 +1,14 @@
-"""Fast apply path: KSOperator.apply across scatter engine x workspace x B_f.
+"""Hamiltonian apply: the cell-level kernel's sweep and the Kronecker-sum apply.
 
-Sweeps the matrix-free Hamiltonian application over wavefunction block
+Sweeps the paper's cell-level Löwdin apply (gather, batched cell GEMM,
+scatter; :class:`_cellpath.CellPathKSOperator`) over wavefunction block
 sizes with the precomputed-ScatterMap fast path and the ``np.add.at``
 reference (``REPRO_SLOW_SCATTER=1``), each with the buffer-pool workspace
 on and off.  The headline metric — the speedup of (fast scatter +
 workspace) over (slow scatter, no workspace), i.e. over the seed
 implementation — lands in ``results/BENCH_apply.json`` via the harness.
+The ``tensor`` column times the serial ``KSOperator.apply`` (three axis
+GEMMs, no scatter) on the same mesh, inputs and block sizes.
 
 Run standalone for the full sweep::
 
@@ -24,6 +27,7 @@ from repro.fem.mesh import uniform_mesh
 from repro.fem.workspace import Workspace
 from repro.obs import Stopwatch
 
+from _cellpath import CellPathKSOperator
 from _harness import write_result
 
 #: reference configuration the >=2x acceptance criterion is measured at
@@ -37,11 +41,12 @@ VARIANTS = (
 )
 
 
-def _build(degree: int, cells: int, workspace_on: bool):
+def _build(degree: int, cells: int, workspace_on: bool, tensor: bool = False):
     mesh = uniform_mesh(
         (10.0,) * 3, (cells,) * 3, degree, pbc=(True, True, True)
     )
-    op = KSOperator(mesh, workspace=Workspace(enabled=workspace_on))
+    cls = KSOperator if tensor else CellPathKSOperator
+    op = cls(mesh, workspace=Workspace(enabled=workspace_on))
     op.set_potential(
         np.random.default_rng(0).standard_normal(mesh.nnodes)
     )
@@ -60,7 +65,7 @@ def _time_apply(op, X, repeats: int = 5) -> float:
 
 
 def run_sweep(degree: int, cells: int, nrhs: int, repeats: int = 5):
-    """Time every (scatter, workspace, B_f) combination on one mesh."""
+    """Time every (scatter, workspace, B_f) combination of the cell path."""
     rng = np.random.default_rng(1)
     rows = []
     saved = os.environ.get("REPRO_SLOW_SCATTER")
@@ -91,6 +96,18 @@ def run_sweep(degree: int, cells: int, nrhs: int, repeats: int = 5):
         else:
             os.environ["REPRO_SLOW_SCATTER"] = saved
     return rows
+
+
+def run_tensor(degree: int, cells: int, nrhs: int, repeats: int = 5):
+    """Seconds per B_f of the serial Kronecker-sum ``KSOperator.apply``."""
+    rng = np.random.default_rng(1)  # same inputs as the cell sweep
+    _, op = _build(degree, cells, workspace_on=True, tensor=True)
+    Xfull = rng.standard_normal((op.n, nrhs))
+    return {
+        bf: _time_apply(op, Xfull[:, :bf], repeats)
+        for bf in BLOCK_SIZES
+        if bf <= nrhs
+    }
 
 
 #: commit whose ``assembly.py`` predates the fast apply path (the growth
@@ -170,6 +187,9 @@ def main() -> None:
         and r["block_size"] == REF["nrhs"]
     )
     seed_s = _seed_apply_seconds(**REF)
+    tensor = run_tensor(**REF)
+    for r in rows:
+        r["tensor_seconds"] = tensor[r["block_size"]]
     write_result(
         "apply",
         params=REF,
@@ -182,13 +202,15 @@ def main() -> None:
                 None if seed_s is None else seed_s / fast_s
             ),
             "reference_block_size": REF["nrhs"],
+            "speedup_tensor_vs_cell_fast_ws": fast_s / tensor[REF["nrhs"]],
         },
     )
-    print(f"{'scatter':<8} {'ws':<6} {'B_f':>4} {'ms/apply':>10}")
+    print(f"{'scatter':<8} {'ws':<6} {'B_f':>4} {'ms/apply':>10} {'tensor':>8}")
     for r in rows:
         print(
             f"{r['scatter']:<8} {str(r['workspace']):<6} "
-            f"{r['block_size']:>4} {1e3 * r['seconds']:>10.2f}"
+            f"{r['block_size']:>4} {1e3 * r['seconds']:>10.2f} "
+            f"{1e3 * r['tensor_seconds']:>8.2f}"
         )
     print(
         f"speedup (fast+ws vs slow+no-ws) @ B_f={REF['nrhs']}: {speedup:.2f}x"
@@ -198,6 +220,10 @@ def main() -> None:
             f"speedup (fast+ws vs seed {SEED_SHA}) @ B_f={REF['nrhs']}: "
             f"{seed_s / fast_s:.2f}x"
         )
+    print(
+        f"speedup (tensor vs fast+ws cell path) @ B_f={REF['nrhs']}: "
+        f"{fast_s / tensor[REF['nrhs']]:.2f}x"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +241,14 @@ def test_apply_fast_reference(benchmark, apply_setup):
     out = benchmark(op.apply, X)
     assert out.shape == X.shape
     benchmark.extra_info.update(REF, scatter="fast", workspace=True)
+
+
+def test_apply_tensor_reference(benchmark):
+    _, op = _build(REF["degree"], REF["cells"], workspace_on=True, tensor=True)
+    X = np.random.default_rng(1).standard_normal((op.n, REF["nrhs"]))
+    out = benchmark(op.apply, X)
+    assert out.shape == X.shape
+    benchmark.extra_info.update(REF, path="tensor")
 
 
 def test_apply_speedup_vs_seed():

@@ -11,7 +11,13 @@ i.e. gather each wavefunction block onto cell-local nodes, multiply by the
 dense ``(p+1)^3 x (p+1)^3`` cell matrix with a *batched* GEMM, and
 scatter-add back.  Here the batched GEMM is a broadcasted ``numpy.matmul``
 over a ``(ncells, nodes_per_cell, block)`` tensor — same data layout and FLOP
-structure as ``xGEMMStridedBatched`` on the GPU.
+structure as ``xGEMMStridedBatched`` on the GPU.  :class:`CellStiffness` is
+that kernel; the rank backends (:mod:`repro.hpc.cluster`,
+:mod:`repro.hpc.procranks`) partition it across ranks, and the scatter-add
+runs through a precomputed :class:`~repro.fem.scatter.ScatterMap`
+(bit-for-bit identical to the ``np.add.at`` reference, which stays
+reachable via ``REPRO_SLOW_SCATTER=1``) into
+:class:`~repro.fem.workspace.Workspace` buffers.
 
 Under the diagonal-mass (Löwdin) transformation the Kohn-Sham operator is
 
@@ -20,15 +26,13 @@ Under the diagonal-mass (Löwdin) transformation the Kohn-Sham operator is
     \\tilde{H} = D^{-1/2}\\,(K/2)\\,D^{-1/2} + \\mathrm{diag}(v),
 
 with ``K`` the assembled stiffness and ``v`` the total effective potential at
-the nodes, so only the kinetic part needs cell-level GEMMs.
-
-Fast apply path (see DESIGN.md): the scatter-add runs through a precomputed
-:class:`~repro.fem.scatter.ScatterMap` (bit-for-bit identical to the
-``np.add.at`` reference, which stays reachable via ``REPRO_SLOW_SCATTER=1``),
-and all intermediates — the free→full expansion, the gathered/GEMM'd cell
-tensors, the free-DoF output — live in a reusable
-:class:`~repro.fem.workspace.Workspace` so a steady-state ``KSOperator.apply``
-performs no large allocations.
+the nodes.  On the tensor-product mesh the kinetic term is exactly the
+Kronecker sum ``Tx (+) Ty (+) Tz`` of three small dense 1D matrices
+(:mod:`repro.fem.tensor`), so the serial :class:`KSOperator` applies it as
+three axis GEMMs on the free-node block (sum factorization) and never
+gathers or scatters.  Every intermediate lives in the operator's reusable
+workspace, so a steady-state ``KSOperator.apply`` performs no large
+allocations.
 """
 
 from __future__ import annotations
@@ -245,7 +249,13 @@ class KSOperator:
         ``H~ x = D^{-1/2} (K/2) D^{-1/2} x + v * x``
 
     where ``v`` is the total effective potential sampled at the nodes (the
-    GLL-diagonal mass makes the potential term exactly diagonal).
+    GLL-diagonal mass makes the potential term exactly diagonal).  The
+    kinetic term is the Kronecker sum ``Tx (+) Ty (+) Tz`` of the mesh's
+    per-axis 1D matrices (:meth:`TensorOperators.kinetic
+    <repro.fem.tensor.TensorOperators.kinetic>`), applied as three batched
+    axis GEMMs on the free-node block viewed as ``(nx, ny, nz, B)`` — no
+    gather, no scatter, no full-node expansion.  The distributed backends
+    keep the paper's cell-level kernel (:class:`CellStiffness`).
 
     Parameters
     ----------
@@ -255,7 +265,8 @@ class KSOperator:
         Optional reduced Bloch vector; nonzero components switch the operator
         (and wavefunctions) to complex arithmetic.
     ledger:
-        Optional FLOP ledger (``repro.hpc.flops.FlopLedger``).
+        Optional FLOP ledger (``repro.hpc.flops.FlopLedger``); the axis
+        GEMMs are charged as ``ks_tensor_gemm``.
     workspace:
         Buffer pool for the apply path; a private enabled pool is created
         when omitted.  Pass ``Workspace(enabled=False)`` to reproduce the
@@ -271,13 +282,10 @@ class KSOperator:
         workspace: Workspace | None = None,
     ) -> None:
         self.mesh = mesh
-        self.stiff = CellStiffness(mesh, kfrac=kfrac, ledger=ledger)
-        self.dtype = self.stiff.dtype
+        self._kinetic = mesh.tensor.kinetic(kfrac)
+        self.dtype = self._kinetic[0].dtype
+        self._shape = mesh.tensor.free_shape
         self.workspace = workspace if workspace is not None else Workspace()
-        self._dinvsqrt = 1.0 / np.sqrt(mesh.mass_diag)
-        # free-index gathers cached once: the apply path never re-slices
-        self._dsf = np.ascontiguousarray(self._dinvsqrt[mesh.free])
-        self._half_dsf = 0.5 * self._dsf
         self._v_free = np.zeros(mesh.ndof, dtype=float)
         self.ledger = ledger
         self._nl_B = None
@@ -307,17 +315,15 @@ class KSOperator:
 
         The parallel multi-channel ChFES gives each (k, spin) channel its
         own clone so concurrent ``set_potential`` calls cannot race; the
-        heavy pieces (cell matrices, scatter maps, nonlocal projectors, the
-        thread-local workspace) are shared.
+        heavy pieces (axis matrices, nonlocal projectors, the thread-local
+        workspace) are shared.
         """
         new = KSOperator.__new__(KSOperator)
         new.mesh = self.mesh
-        new.stiff = self.stiff
+        new._kinetic = self._kinetic
         new.dtype = self.dtype
+        new._shape = self._shape
         new.workspace = self.workspace
-        new._dinvsqrt = self._dinvsqrt
-        new._dsf = self._dsf
-        new._half_dsf = self._half_dsf
         new._v_free = self._v_free.copy()
         new.ledger = self.ledger
         new._nl_B = self._nl_B
@@ -329,58 +335,70 @@ class KSOperator:
 
         ``out``, when given, receives the result (same shape as ``X``; must
         not alias ``X``) — the Chebyshev recurrence uses this to ping-pong
-        between preallocated blocks.  All arithmetic is performed in the
-        same operation order as the reference implementation, so results
-        are bit-for-bit independent of workspace/out usage.
+        between preallocated blocks.  Any memory layout of ``X`` and
+        ``out`` is accepted; results are bit-for-bit independent of
+        workspace/out usage.
         """
         if out is X and X is not None:
             raise ValueError("out must not alias X")
         squeeze = X.ndim == 1
         Xb = X[:, None] if squeeze else X
         ws = self.workspace
-        free = self.mesh.free
         ndof, B = Xb.shape
         rdt = np.result_type(self.dtype, Xb.dtype)
-        # free -> full expansion: boundary rows stay zero by invariant
-        full = ws.get(
-            "ks_full", (self.mesh.nnodes, B), rdt, zero_on_create=True
-        )
-        t = ws.get("ks_t", (ndof, B), rdt)
-        np.multiply(self._dsf[:, None], Xb, out=t)
-        full[free] = t
-        kx = self.stiff.apply_full(full, workspace=ws)
-        yg = ws.get("ks_gather", (ndof, B), rdt)
-        np.take(kx, free, axis=0, out=yg)
-        if out is None:
+        x = np.ascontiguousarray(Xb)  # the axis views below need C order
+        o = None if out is None else (out[:, None] if out.ndim == 1 else out)
+        if o is None:
             y = np.empty((ndof, B), dtype=rdt)
-        else:
-            y = out[:, None] if out.ndim == 1 else out
-        np.multiply(self._half_dsf[:, None], yg, out=y)
-        np.multiply(self._v_free[:, None], Xb, out=t)
+        elif o.flags.c_contiguous and o.dtype == rdt:
+            y = o
+        else:  # a reshape of this ``out`` would be a copy: go via a buffer
+            y = ws.get("ks_y", (ndof, B), rdt)
+        nx, ny, nz = self._shape
+        tx, ty, tz = self._kinetic
+        t = ws.get("ks_t", (ndof, B), rdt)
+        # Each axis is a batch of slab GEMMs; none spans the whole block.
+        # One (nx, nx) x (nx, ny*nz*B) GEMM for x is threaded by BLAS and
+        # measured slower end to end on a 2-core host, with ~15 ms stalls
+        # per call in some processes.
+        np.matmul(
+            tx, x.reshape(nx, ny, nz * B).transpose(1, 0, 2),
+            out=y.reshape(nx, ny, nz * B).transpose(1, 0, 2),
+        )
+        np.matmul(ty, x.reshape(nx, ny, nz * B), out=t.reshape(nx, ny, nz * B))
         y += t
+        np.matmul(tz, x.reshape(nx * ny, nz, B), out=t.reshape(nx * ny, nz, B))
+        y += t
+        np.multiply(self._v_free[:, None], x, out=t)
+        y += t
+        if self.ledger is not None:
+            factor = 4 if np.issubdtype(rdt, np.complexfloating) else 1
+            self.ledger.add(
+                "ks_tensor_gemm", factor * 2 * ndof * B * (nx + ny + nz)
+            )
         if self._nl_B is not None and self._nl_B.shape[1]:
             # separable nonlocal term: two skinny GEMMs (rank-k update)
-            proj = self._nl_B.conj().T @ Xb
+            proj = self._nl_B.conj().T @ x
             y += self._nl_B @ (self._nl_D[:, None] * proj)
         if _faults._PLAN is not None:  # reprochaos site (no-op unarmed)
             _faults.fault_point("ks_apply", y)
-        if out is not None:
-            return out
-        return y[:, 0] if squeeze else y
-
-    def diagonal(self) -> np.ndarray:
-        """Diagonal of ``H~`` (incl. the separable nonlocal contribution)."""
-        kd = self.stiff.diagonal_full()
-        d = 0.5 * kd * self._dinvsqrt**2
-        out = d[self.mesh.free] + self._v_free
-        if self._nl_B is not None and self._nl_B.shape[1]:
-            out = out + np.einsum("ip,p,ip->i", self._nl_B, self._nl_D, self._nl_B)
+        if o is None:
+            return y[:, 0] if squeeze else y
+        if y is not o:
+            np.copyto(o, y)
         return out
 
     def kinetic_diagonal(self) -> np.ndarray:
         """Diagonal of the Löwdin kinetic operator (MINRES preconditioner)."""
-        kd = self.stiff.diagonal_full()
-        return 0.5 * (kd * self._dinvsqrt**2)[self.mesh.free]
+        dx, dy, dz = (np.diagonal(t).real for t in self._kinetic)
+        return (dx[:, None, None] + dy[:, None] + dz).ravel()
+
+    def diagonal(self) -> np.ndarray:
+        """Diagonal of ``H~`` (incl. the separable nonlocal contribution)."""
+        out = self.kinetic_diagonal() + self._v_free
+        if self._nl_B is not None and self._nl_B.shape[1]:
+            out = out + np.einsum("ip,p,ip->i", self._nl_B, self._nl_D, self._nl_B)
+        return out
 
     def matrix(self) -> np.ndarray:
         """Dense matrix of ``H~`` — tests and small systems only."""

@@ -264,7 +264,7 @@ class Mesh3D:
 
     @cached_property
     def tensor(self) -> TensorOperators:
-        """Per-axis 1D operators and eigenpairs of the Poisson/Kerker solves."""
+        """Per-axis 1D operators: Poisson/Kerker solves, kinetic apply."""
         return TensorOperators(self)
 
     @cached_property

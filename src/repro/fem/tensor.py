@@ -1,4 +1,4 @@
-"""Per-axis 1D operators of a tensor-product mesh and the direct Poisson solve.
+"""Per-axis 1D operators of a tensor-product mesh: Poisson solve, kinetic apply.
 
 Every mesh is a tensor product of 1D GLL grids with a diagonal mass, so the
 assembled stiffness is exactly the Kronecker sum of assembled 1D operators,
@@ -18,6 +18,20 @@ three axis transforms, a pointwise division and three transforms back
 mesh ``K`` annihilates constants; that single zero mode is dropped, which
 projects the right-hand side onto the range of ``K`` and returns the
 zero-mean solution.
+
+The same structure makes the Löwdin kinetic operator of the Kohn-Sham
+Hamiltonian a Kronecker sum of three small dense matrices: with ``M =
+Mx (x) My (x) Mz``,
+
+.. math::
+
+    \\tfrac12 M^{-1/2} K M^{-1/2} = T_x \\oplus T_y \\oplus T_z, \\qquad
+    T_a = \\tfrac12 M_a^{-1/2} K_a M_a^{-1/2},
+
+so ``H X`` needs three axis GEMMs instead of a gather, batched cell GEMMs
+and a scatter (sum factorization).  A Bloch phase ``exp(2 pi i k_a)`` on
+the connectivity entries that wrapped around axis ``a`` factorizes per
+axis as well: it enters only ``K_a(k)``.
 """
 
 from __future__ import annotations
@@ -34,6 +48,10 @@ if TYPE_CHECKING:
 
 __all__ = ["AxisOperators", "TensorOperators", "axis_operators"]
 
+#: |k| at or below which a Bloch component counts as Gamma (as in
+#: :meth:`Mesh3D.bloch_phases`)
+_K_EPS = 1e-14
+
 
 @dataclass(frozen=True)
 class AxisOperators:
@@ -44,6 +62,30 @@ class AxisOperators:
     interior: np.ndarray  #: indices of the non-Dirichlet axis nodes
     evals: np.ndarray  #: (m,) ascending generalized eigenvalues on ``interior``
     evecs: np.ndarray  #: (m, m) mass-orthonormal eigenvectors, columns
+    kinetic: np.ndarray  #: (m, m) ``½ M^{-1/2} K M^{-1/2}`` on ``interior``
+
+
+def axis_stiffness(
+    edges: np.ndarray,
+    ref: ReferenceCell,
+    conn: np.ndarray,
+    phase: np.ndarray | None = None,
+) -> np.ndarray:
+    """Assembled 1D stiffness over every axis node.
+
+    ``phase`` (same shape as ``conn``) holds per-entry Bloch factors; cell
+    ``c`` then contributes ``conj(phase_c) (x) phase_c * k_c`` — the 1D
+    factor of the cell path's gather-phase / conjugate-scatter pair.
+    """
+    n = int(conn.max()) + 1
+    dt = np.float64 if phase is None else np.complex128
+    stiff = np.zeros((n, n), dtype=dt)
+    for c, (hc, idx) in enumerate(zip(np.diff(edges), conn)):
+        kc = (2.0 / hc) * ref.stiff1d
+        if phase is not None:
+            kc = np.conj(phase[c])[:, None] * kc * phase[c][None, :]
+        np.add.at(stiff, (idx[:, None], idx[None, :]), kc)
+    return stiff
 
 
 def axis_operators(
@@ -56,11 +98,10 @@ def axis_operators(
     boundary); on a periodic axis the constant mode's eigenvalue is set to
     exactly zero.
     """
-    n = int(conn.max()) + 1
-    stiff = np.zeros((n, n), dtype=np.float64)
+    stiff = axis_stiffness(edges, ref, conn)
+    n = stiff.shape[0]
     mass = np.zeros(n, dtype=np.float64)
     for hc, idx in zip(np.diff(edges), conn):
-        np.add.at(stiff, (idx[:, None], idx[None, :]), (2.0 / hc) * ref.stiff1d)
         np.add.at(mass, idx, (0.5 * hc) * ref.weights1d)
     interior = np.arange(n) if periodic else np.arange(1, n - 1)
     scale = 1.0 / np.sqrt(mass[interior])
@@ -68,7 +109,9 @@ def axis_operators(
     evals, q = np.linalg.eigh(0.5 * (sym + sym.T))
     if periodic:
         evals[0] = 0.0
-    return AxisOperators(stiff, mass, interior, evals, scale[:, None] * q)
+    return AxisOperators(
+        stiff, mass, interior, evals, scale[:, None] * q, 0.5 * sym
+    )
 
 
 def _kron3(
@@ -81,7 +124,8 @@ def _kron3(
 
 
 class TensorOperators:
-    """The three axes' operators of a mesh, and solves built on them.
+    """The three axes' operators of a mesh, and the solves and kinetic
+    matrices built on them.
 
     Built once per mesh (:attr:`Mesh3D.tensor`) and immutable afterwards,
     so one instance is shared by every solver on the mesh and by threads.
@@ -92,6 +136,9 @@ class TensorOperators:
             axis_operators(e, mesh.ref, conn, per)
             for e, conn, per in zip(mesh.edges, mesh._axis_conn, mesh.pbc)
         )
+        self._ref = mesh.ref
+        self._cells = tuple(zip(mesh.edges, mesh._axis_conn, mesh._axis_wrap))
+        self._pbc = mesh.pbc
         self.shape = tuple(a.mass.size for a in self.axes)
         self.free_shape = tuple(a.interior.size for a in self.axes)
         lx, ly, lz = (a.evals for a in self.axes)
@@ -103,6 +150,33 @@ class TensorOperators:
         #: GEMM FLOPs of one :meth:`solve` and one :meth:`stiffness_apply`
         self.solve_flops = 4 * int(np.prod(self.free_shape)) * sum(self.free_shape)
         self.apply_flops = 2 * int(np.prod(self.shape)) * sum(self.shape)
+
+    def kinetic(
+        self, kfrac: tuple[float, float, float] | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The Löwdin kinetic 1D matrices ``(Tx, Ty, Tz)`` on the free nodes.
+
+        At Gamma these are the cached real matrices.  Any nonzero component
+        of ``kfrac`` makes all three complex; each axis with a nonzero
+        component is assembled from its own phased cell matrices.
+        """
+        if kfrac is None or all(abs(k) <= _K_EPS for k in kfrac):
+            return tuple(a.kinetic for a in self.axes)
+        out = []
+        for a, k, (edges, conn, wrap), per in zip(
+            self.axes, kfrac, self._cells, self._pbc
+        ):
+            if abs(k) <= _K_EPS:
+                out.append(a.kinetic.astype(np.complex128))
+                continue
+            if not per:
+                raise ValueError("nonzero k along a non-periodic axis")
+            phase = np.where(wrap, np.exp(2j * np.pi * k), 1.0 + 0j)
+            # periodic: every axis node is free, no boundary rows to drop
+            s = 1.0 / np.sqrt(a.mass)
+            stiff = axis_stiffness(edges, self._ref, conn, phase)
+            out.append(0.5 * (s[:, None] * stiff * s[None, :]))
+        return tuple(out)
 
     def stiffness_apply(self, x_full: np.ndarray) -> np.ndarray:
         """``K @ x`` on the full node set (no boundary conditions)."""

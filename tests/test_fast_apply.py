@@ -1,8 +1,9 @@
 """Fast matrix-free apply path: scatter maps, workspaces, parallel ChFES.
 
 The contract under test is *bit-for-bit* equivalence: the precomputed
-:class:`~repro.fem.scatter.ScatterMap` engines, the workspace-backed
-``KSOperator.apply`` / ``chebyshev_filter``, and the thread-parallel
+:class:`~repro.fem.scatter.ScatterMap` engines (in the cell-level
+``CellStiffness.apply_full``), the workspace-backed ``KSOperator.apply`` /
+``chebyshev_filter``, and the thread-parallel
 (k, spin) channel dispatch must reproduce the reference ``np.add.at`` /
 allocate-per-call / serial implementations exactly, not approximately.
 """
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.chebyshev import chebyshev_filter, filter_block
-from repro.fem.assembly import KSOperator
+from repro.fem.assembly import CellStiffness, KSOperator
 from repro.fem.mesh import uniform_mesh
 from repro.fem.scatter import ScatterMap, slow_scatter_enabled
 from repro.fem.workspace import Workspace
@@ -112,28 +113,34 @@ def test_slow_scatter_env_gate(mesh, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# KSOperator fast vs reference apply
+# Cell-level stiffness: fast vs reference scatter
 # ---------------------------------------------------------------------------
+# The serial KSOperator applies its kinetic term as a Kronecker sum (no
+# scatter); the scatter engines run in the cell-level kernel of the rank
+# backends, CellStiffness.apply_full, which is what these tests pin.
 def _ops_fast_slow(mesh, monkeypatch, kfrac=None):
+    """(fast, slow) ``K @ x``: ScatterMap + workspace vs np.add.at + none."""
     monkeypatch.delenv("REPRO_SLOW_SCATTER", raising=False)
-    fast = KSOperator(mesh, kfrac=kfrac)
+    fast = CellStiffness(mesh, kfrac=kfrac)
+    ws = Workspace()
     monkeypatch.setenv("REPRO_SLOW_SCATTER", "1")
-    slow = KSOperator(mesh, kfrac=kfrac, workspace=Workspace(enabled=False))
-    return fast, slow
+    slow = CellStiffness(mesh, kfrac=kfrac)
+    bare = Workspace(enabled=False)
+    return (
+        lambda x: fast.apply_full(x, workspace=ws),
+        lambda x: slow.apply_full(x, workspace=bare),
+    )
 
 
 def test_apply_fast_slow_bitexact_real(mesh, monkeypatch):
     rng = np.random.default_rng(7)
     fast, slow = _ops_fast_slow(mesh, monkeypatch)
-    v = rng.standard_normal(mesh.free.size)
-    fast.set_potential(v)
-    slow.set_potential(v)
     for nrhs in (1, 6):
-        X = rng.standard_normal((mesh.free.size, nrhs))
+        X = rng.standard_normal((mesh.nnodes, nrhs))
         monkeypatch.delenv("REPRO_SLOW_SCATTER")
-        yf = fast.apply(X if nrhs > 1 else X[:, 0]).copy()
+        yf = fast(X if nrhs > 1 else X[:, 0]).copy()
         monkeypatch.setenv("REPRO_SLOW_SCATTER", "1")
-        ys = slow.apply(X if nrhs > 1 else X[:, 0])
+        ys = slow(X if nrhs > 1 else X[:, 0])
         assert np.array_equal(yf, ys)
 
 
@@ -141,16 +148,13 @@ def test_apply_fast_slow_bitexact_bloch(mesh, monkeypatch):
     rng = np.random.default_rng(8)
     kf = (0.25, 0.0, 0.125)
     fast, slow = _ops_fast_slow(mesh, monkeypatch, kfrac=kf)
-    v = rng.standard_normal(mesh.free.size)
-    fast.set_potential(v)
-    slow.set_potential(v)
-    X = rng.standard_normal((mesh.free.size, 4)) + 1j * rng.standard_normal(
-        (mesh.free.size, 4)
+    X = rng.standard_normal((mesh.nnodes, 4)) + 1j * rng.standard_normal(
+        (mesh.nnodes, 4)
     )
     monkeypatch.delenv("REPRO_SLOW_SCATTER")
-    yf = fast.apply(X).copy()
+    yf = fast(X).copy()
     monkeypatch.setenv("REPRO_SLOW_SCATTER", "1")
-    ys = slow.apply(X)
+    ys = slow(X)
     assert np.array_equal(yf, ys)
 
 
